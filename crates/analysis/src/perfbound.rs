@@ -54,9 +54,7 @@ use simt_isa::{Instruction, Kernel, LatencyClass};
 use crate::absint::{interpret, AbsintAnalysis, LaunchInfo};
 use crate::cfg::Cfg;
 use crate::dataflow::ReachingDefs;
-use crate::trace::{
-    unique_srcs, StepOutcome, TimingState, TraceStep, WarpReplay, UNCOMPRESSED_BANKS,
-};
+use crate::trace::{StepOutcome, TimingState, TraceStep, WarpReplay, UNCOMPRESSED_BANKS};
 
 /// The pipeline parameters the bounds are derived from — the subset of
 /// the simulator's configuration that is architecturally visible to a
@@ -457,7 +455,7 @@ fn conflict_sites(
     let rd = ReachingDefs::compute(instrs, instrs.len().max(1) as u8, cfg);
     let mut sites = Vec::new();
     for (pc, instr) in instrs.iter().enumerate() {
-        let srcs = unique_srcs(instr);
+        let srcs = instr.unique_srcs();
         let k = srcs.len();
         if k < 2 || !cfg.is_reachable(pc) {
             continue;

@@ -41,18 +41,6 @@ pub const UNCOMPRESSED_BANKS: usize = 8;
 /// precision instead of replaying on.
 pub const TRACE_FUEL: u64 = 1_000_000;
 
-/// Unique source registers of an instruction, in first-use order (the
-/// engine's `unique_srcs` — one collector fetch per distinct register).
-pub fn unique_srcs(instr: &Instruction) -> Vec<usize> {
-    let mut srcs: Vec<usize> = Vec::new();
-    for r in instr.src_regs() {
-        if !srcs.contains(&r.index()) {
-            srcs.push(r.index());
-        }
-    }
-    srcs
-}
-
 // ---------------------------------------------------------------------
 // SIMT stack mirror
 // ---------------------------------------------------------------------
@@ -217,7 +205,7 @@ impl TimingState {
     /// ordering constraints (issue port, RAW/WAW/WAR, LSU order).
     pub fn earliest(&self, instr: &Instruction) -> u64 {
         let mut t = self.next_issue;
-        for &s in &unique_srcs(instr) {
+        for &s in instr.unique_srcs().iter() {
             t = t.max(self.avail_write[s]);
         }
         if let Some(d) = instr.dst() {
@@ -245,7 +233,7 @@ impl TimingState {
         comp_pass: u64,
     ) -> InstrTimes {
         debug_assert!(t >= self.earliest(instr), "issue before earliest feasible");
-        let srcs = unique_srcs(instr);
+        let srcs = instr.unique_srcs();
         let is_mem = instr.latency_class() == LatencyClass::Memory;
         match instr {
             Instruction::Jmp { .. } | Instruction::Exit => {
@@ -265,7 +253,7 @@ impl TimingState {
         // collectors are visited from the cycle after issue even with
         // no operands to fetch.
         let dispatch = t + (srcs.len() as u64).max(1);
-        for &s in &srcs {
+        for &s in srcs.iter() {
             self.reader_release[s] = self.reader_release[s].max(dispatch);
         }
         if is_mem {
@@ -556,7 +544,8 @@ impl<'a> WarpReplay<'a> {
 
         // Pre-write operand facts (reads happen before the write, so a
         // destination that is also a source reads its old stored form).
-        let sources: Vec<SourceFetch> = unique_srcs(&instr)
+        let sources: Vec<SourceFetch> = instr
+            .unique_srcs()
             .iter()
             .map(|&s| SourceFetch {
                 reg: s,

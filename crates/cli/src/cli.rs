@@ -1185,7 +1185,7 @@ pub fn run_cli(cmd: &Command, out: &mut dyn fmt::Write) -> Result<(), Box<dyn Er
             let kernel = simt_isa::assemble(&source)?;
             let launch =
                 LaunchConfig::try_new(*blocks, *threads_per_block)?.with_params(params.clone());
-            let mut memory = GlobalMemory::zeroed(*mem_words);
+            let mut memory = GlobalMemory::try_zeroed(*mem_words)?;
             let result = GpuSim::new(design.config()).run(&kernel, &launch, &mut memory)?;
             writeln!(out, "kernel `{}` under {}:", kernel.name(), design.label())?;
             writeln!(out, "  cycles:            {}", result.stats.cycles)?;
@@ -1908,5 +1908,29 @@ mod tests {
         assert!(out.contains("kernel `fill`"));
         assert!(out.contains("mem[0..16]"));
         assert!(out.contains('5'));
+    }
+
+    #[test]
+    fn kernel_command_rejects_oversized_memory() {
+        let dir = std::env::temp_dir().join("wcsim-test-oversized");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ok.s");
+        fs::write(&path, ".kernel ok regs 1\n exit\n").unwrap();
+        let cmd = Command::Kernel {
+            path: path.to_string_lossy().into_owned(),
+            blocks: 1,
+            threads_per_block: 32,
+            mem_words: 99_999_999_999,
+            params: vec![],
+            design: DesignPoint::WarpedCompression,
+        };
+        let err = run_cli(&cmd, &mut String::new()).unwrap_err();
+        assert_eq!(
+            err.downcast_ref::<gpu_sim::MemoryAllocError>(),
+            Some(&gpu_sim::MemoryAllocError::TooLarge {
+                words: 99_999_999_999
+            })
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 }

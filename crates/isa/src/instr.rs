@@ -1,6 +1,7 @@
 //! Instructions and execution-latency classes.
 
 use std::fmt;
+use std::ops::Deref;
 
 use serde::{Deserialize, Serialize};
 
@@ -245,6 +246,29 @@ impl Instruction {
         }
     }
 
+    /// Distinct source registers in first-use order: exactly one
+    /// operand-collector fetch each. Unlike [`src_regs`](Self::src_regs)
+    /// this never allocates, so the simulator's issue stage and the
+    /// static timing models can call it on every instruction they try.
+    pub fn unique_srcs(&self) -> SrcRegs {
+        let (first, second) = match self {
+            Instruction::Mov { src, .. } => (src.reg(), None),
+            Instruction::Alu { a, b, .. } => (a.reg(), b.reg()),
+            Instruction::Ld { base, .. } => (Some(*base), None),
+            Instruction::St { base, src, .. } => (Some(*base), Some(*src)),
+            Instruction::Bra { pred, .. } => (Some(*pred), None),
+            Instruction::Jmp { .. } | Instruction::Exit => (None, None),
+        };
+        let mut srcs = SrcRegs::default();
+        for r in [first, second].into_iter().flatten() {
+            if !srcs.contains(&r.index()) {
+                srcs.regs[srcs.len] = r.index();
+                srcs.len += 1;
+            }
+        }
+        srcs
+    }
+
     /// The latency class the pipeline model schedules this instruction in.
     pub fn latency_class(&self) -> LatencyClass {
         match self {
@@ -273,6 +297,23 @@ impl Instruction {
             Instruction::Exit => ControlFlow::Exit,
             _ => ControlFlow::FallThrough,
         }
+    }
+}
+
+/// The distinct source registers of one instruction (at most two),
+/// held inline; dereferences to a `&[usize]` of register indices. See
+/// [`Instruction::unique_srcs`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SrcRegs {
+    regs: [usize; 2],
+    len: usize,
+}
+
+impl Deref for SrcRegs {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.regs[..self.len]
     }
 }
 
@@ -369,6 +410,29 @@ mod tests {
             reconv: 1,
         };
         assert_eq!(bra.src_regs(), vec![Reg(6)]);
+    }
+
+    #[test]
+    fn unique_srcs_dedups_in_first_use_order() {
+        let alu = |a: Operand, b: Operand| Instruction::Alu {
+            op: AluOp::Add,
+            dst: Reg(0),
+            a,
+            b,
+        };
+        assert_eq!(*alu(Reg(3).into(), Reg(2).into()).unique_srcs(), [3, 2]);
+        assert_eq!(*alu(Reg(3).into(), Reg(3).into()).unique_srcs(), [3]);
+        assert_eq!(*alu(Operand::Imm(1), Reg(2).into()).unique_srcs(), [2]);
+        assert!(alu(Operand::Imm(1), Operand::Imm(2))
+            .unique_srcs()
+            .is_empty());
+        let st = Instruction::St {
+            base: Reg(4),
+            offset: 0,
+            src: Reg(4),
+        };
+        assert_eq!(*st.unique_srcs(), [4]);
+        assert!(Instruction::Exit.unique_srcs().is_empty());
     }
 
     #[test]

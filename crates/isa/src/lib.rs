@@ -45,6 +45,6 @@ mod operand;
 
 pub use asm::{assemble, to_asm, write_asm, AsmError, AsmErrorKind};
 pub use builder::{BuildError, KernelBuilder, Label};
-pub use instr::{AluOp, ControlFlow, Instruction, LatencyClass};
+pub use instr::{AluOp, ControlFlow, Instruction, LatencyClass, SrcRegs};
 pub use kernel::{Kernel, KernelError};
 pub use operand::{Operand, Reg, Special};

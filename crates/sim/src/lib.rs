@@ -62,7 +62,7 @@ mod warp;
 pub use chip::ChipResult;
 pub use config::{CompressionConfig, DivergencePolicy, GpuConfig, SchedulerPolicy};
 pub use launch::{LaunchConfig, LaunchError};
-pub use memory::{GlobalMemory, MemoryFault};
+pub use memory::{GlobalMemory, MemoryAllocError, MemoryFault};
 pub use scheduled::ScheduledResult;
 pub use simt_stack::SimtStack;
 pub use sm::{FinalRegs, GpuSim, SimError, SimResult};

@@ -26,6 +26,38 @@ impl fmt::Display for MemoryFault {
 
 impl Error for MemoryFault {}
 
+/// A global memory of the requested size could not be created.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MemoryAllocError {
+    /// More words than [`GlobalMemory::MAX_WORDS`].
+    TooLarge {
+        /// The requested size in words.
+        words: usize,
+    },
+    /// The host could not reserve the memory.
+    OutOfMemory {
+        /// The requested size in words.
+        words: usize,
+    },
+}
+
+impl fmt::Display for MemoryAllocError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MemoryAllocError::TooLarge { words } => write!(
+                f,
+                "global memory of {words} words exceeds the limit of {} words",
+                GlobalMemory::MAX_WORDS
+            ),
+            MemoryAllocError::OutOfMemory { words } => {
+                write!(f, "cannot allocate global memory of {words} words")
+            }
+        }
+    }
+}
+
+impl Error for MemoryAllocError {}
+
 /// Global device memory, addressed in 32-bit words.
 ///
 /// The paper's observations hinge on register *values*, so a flat
@@ -37,11 +69,38 @@ pub struct GlobalMemory {
 }
 
 impl GlobalMemory {
+    /// The largest memory [`try_zeroed`](Self::try_zeroed) creates:
+    /// 2^28 words (1 GiB). Word addresses are 32-bit, and no suite or
+    /// generated kernel comes near this.
+    pub const MAX_WORDS: usize = 1 << 28;
+
     /// Memory of `size` words, all zero.
+    ///
+    /// Aborts if the host cannot allocate it; use
+    /// [`try_zeroed`](Self::try_zeroed) for sizes from untrusted input.
     pub fn zeroed(size: usize) -> Self {
         GlobalMemory {
             words: vec![0; size],
         }
+    }
+
+    /// Memory of `size` words, all zero, or a typed error instead of an
+    /// abort when `size` exceeds [`MAX_WORDS`](Self::MAX_WORDS) or the
+    /// host cannot reserve it.
+    ///
+    /// # Errors
+    ///
+    /// [`MemoryAllocError`] as described above.
+    pub fn try_zeroed(size: usize) -> Result<Self, MemoryAllocError> {
+        if size > Self::MAX_WORDS {
+            return Err(MemoryAllocError::TooLarge { words: size });
+        }
+        let mut words = Vec::new();
+        words
+            .try_reserve_exact(size)
+            .map_err(|_| MemoryAllocError::OutOfMemory { words: size })?;
+        words.resize(size, 0);
+        Ok(GlobalMemory { words })
     }
 
     /// Memory initialised from the given words.
@@ -137,6 +196,18 @@ mod tests {
         assert_eq!(m.len(), 3);
         assert!(!m.is_empty());
         assert_eq!(m.words(), &[5, 6, 7]);
+    }
+
+    #[test]
+    fn try_zeroed_bounds_the_size() {
+        let m = GlobalMemory::try_zeroed(8).unwrap();
+        assert_eq!(m, GlobalMemory::zeroed(8));
+        let words = GlobalMemory::MAX_WORDS + 1;
+        let err = GlobalMemory::try_zeroed(words).unwrap_err();
+        assert_eq!(err, MemoryAllocError::TooLarge { words });
+        assert!(err.to_string().contains("exceeds the limit"));
+        let err = GlobalMemory::try_zeroed(usize::MAX).unwrap_err();
+        assert!(matches!(err, MemoryAllocError::TooLarge { .. }));
     }
 
     #[test]

@@ -53,7 +53,7 @@ use crate::config::{DivergencePolicy, GpuConfig};
 use crate::launch::LaunchConfig;
 use crate::memory::GlobalMemory;
 use crate::simt_stack::SimtStack;
-use crate::sm::{unique_srcs, FinalRegs, GpuSim, SimError};
+use crate::sm::{FinalRegs, GpuSim, SimError};
 use crate::stats::SimStats;
 
 /// Result of a scheduled replay.
@@ -247,8 +247,8 @@ fn validate_plan(
                     format!("{at}: mask {:#x} invalid", s.mask),
                 ));
             }
-            let srcs = unique_srcs(instr);
-            if s.sources != srcs {
+            let srcs = instr.unique_srcs();
+            if s.sources[..] != *srcs {
                 return Err(plan_err_at(
                     gid,
                     s.pc,
@@ -293,7 +293,7 @@ fn validate_plan(
             }
 
             let mut earliest = next_issue;
-            for &r in &srcs {
+            for &r in srcs.iter() {
                 earliest = earliest.max(avail_write[r]);
             }
             if let Some(d) = s.dst {
@@ -332,7 +332,7 @@ fn validate_plan(
                             s.dispatch
                         )));
                     }
-                    for &r in &srcs {
+                    for &r in srcs.iter() {
                         reader_release[r] = reader_release[r].max(dispatch);
                     }
                     if instr.latency_class() == LatencyClass::Memory {

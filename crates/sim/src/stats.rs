@@ -97,13 +97,32 @@ pub struct MemTrafficStats {
     pub by_pc: BTreeMap<usize, PcMemTraffic>,
 }
 
+impl PcMemTraffic {
+    /// Charges one access issuing `transactions` segment transactions.
+    pub(crate) fn record(&mut self, transactions: u64) {
+        self.accesses += 1;
+        self.transactions += transactions;
+    }
+}
+
 impl MemTrafficStats {
     /// Charges one access issuing `transactions` segment transactions
     /// at `pc`.
     pub fn record(&mut self, pc: usize, transactions: u64) {
-        let t = self.by_pc.entry(pc).or_default();
-        t.accesses += 1;
-        t.transactions += transactions;
+        self.by_pc.entry(pc).or_default().record(transactions);
+    }
+
+    /// The map of a dense table indexed by pc: every pc that accessed
+    /// memory, exactly the keys [`record`](Self::record) would have made.
+    pub(crate) fn from_dense(rows: &[PcMemTraffic]) -> Self {
+        MemTrafficStats {
+            by_pc: rows
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.accesses > 0)
+                .map(|(pc, t)| (pc, *t))
+                .collect(),
+        }
     }
 
     /// The counters charged to `pc` (zero if it never accessed memory).
@@ -231,14 +250,15 @@ impl PcStalls {
         }
     }
 
-    fn slot_mut(&mut self, cause: StallCause) -> &mut u64 {
-        match cause {
+    /// Charges one lost cycle to `cause`.
+    pub(crate) fn record(&mut self, cause: StallCause) {
+        *match cause {
             StallCause::BankConflict => &mut self.bank_conflict,
             StallCause::Decompressor => &mut self.decompressor,
             StallCause::Scoreboard => &mut self.scoreboard,
             StallCause::CollectorFull => &mut self.collector_full,
             StallCause::WritebackPort => &mut self.writeback_port,
-        }
+        } += 1;
     }
 
     /// Stalls charged to this pc across every cause.
@@ -268,7 +288,21 @@ pub struct StallStats {
 impl StallStats {
     /// Charges one lost cycle at `pc` to `cause`.
     pub fn record(&mut self, pc: usize, cause: StallCause) {
-        *self.by_pc.entry(pc).or_default().slot_mut(cause) += 1;
+        self.by_pc.entry(pc).or_default().record(cause);
+    }
+
+    /// The map of a dense table indexed by pc: every pc that stalled at
+    /// least once, exactly the keys [`record`](Self::record) would have
+    /// made.
+    pub(crate) fn from_dense(rows: &[PcStalls]) -> Self {
+        StallStats {
+            by_pc: rows
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.total() > 0)
+                .map(|(pc, p)| (pc, *p))
+                .collect(),
+        }
     }
 
     /// The counters charged to `pc` (zero if it never stalled).
@@ -455,6 +489,34 @@ mod tests {
         assert_eq!(m.at(42), PcMemTraffic::default());
         assert_eq!(m.total_accesses(), 3);
         assert_eq!(m.total_transactions(), 6);
+    }
+
+    #[test]
+    fn dense_tables_fold_to_the_recorded_maps() {
+        let mut stalls = StallStats::default();
+        let mut dense_stalls = vec![PcStalls::default(); 6];
+        for (pc, cause) in [
+            (1, StallCause::BankConflict),
+            (4, StallCause::Scoreboard),
+            (1, StallCause::WritebackPort),
+        ] {
+            stalls.record(pc, cause);
+            dense_stalls[pc].record(cause);
+        }
+        assert_eq!(StallStats::from_dense(&dense_stalls), stalls);
+
+        let mut mem = MemTrafficStats::default();
+        let mut dense_mem = vec![PcMemTraffic::default(); 6];
+        for (pc, transactions) in [(2, 1), (5, 0), (2, 3)] {
+            mem.record(pc, transactions);
+            dense_mem[pc].record(transactions);
+        }
+        assert_eq!(MemTrafficStats::from_dense(&dense_mem), mem);
+        assert_eq!(
+            mem.by_pc.len(),
+            2,
+            "a zero-transaction access still keys its pc"
+        );
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //!    decompression (+1) passes where the machine guarantees them.
 //!
 //! 3. **Whole-kernel extension.** A launch-specialised concrete tracer
-//!    replays each warp against an exact mirror of the simulator's
-//!    SIMT stack: loop trip counts and branch outcomes are resolved
+//!    replays each warp through the simulator's own SIMT stack
+//!    (`simt_isa::SimtStack`): loop trip counts and branch outcomes are resolved
 //!    from concrete parameter/thread-index arithmetic, falling back to
 //!    [`absint`](crate::absint) per-lane ranges for unknown predicates
 //!    and — when even those lose the branch — to the CFG's
@@ -134,8 +134,8 @@ pub struct PerfLaunch {
     pub blocks: usize,
     /// Threads per block.
     pub threads_per_block: usize,
-    /// Scalar kernel parameters (missing slots read as 0, like the
-    /// simulator's `LaunchConfig::param`).
+    /// Scalar kernel parameters (missing slots read as 0, see
+    /// `simt_isa::WarpCoords::param`).
     pub params: Vec<u32>,
     /// The entire initial global-memory image, when captured. Arms the
     /// abstract memory-cell refinement of loads in the scheduler and
@@ -164,12 +164,6 @@ impl PerfLaunch {
     pub fn with_memory(mut self, image: std::sync::Arc<Vec<u32>>) -> Self {
         self.initial_mem = Some(image);
         self
-    }
-
-    /// The `i`-th scalar parameter (missing slots read as 0, mirroring
-    /// the simulator's `LaunchConfig::param`).
-    pub fn param(&self, i: usize) -> u32 {
-        self.params.get(i).copied().unwrap_or(0)
     }
 
     /// Warps per block at the architectural warp size.
@@ -356,9 +350,8 @@ pub fn bound_kernel(kernel: &Kernel, launch: &PerfLaunch, machine: &PerfMachine)
     let wpb = launch.warps_per_block();
     for block in 0..launch.blocks {
         for warp in 0..wpb {
-            let threads = (launch.threads_per_block - warp * WARP_SIZE).min(WARP_SIZE);
             let mut tracer = WarpTracer::new(
-                machine, &codec, launch, &absint, &dist, instrs, num_regs, block, warp, threads,
+                machine, &codec, launch, &absint, &dist, instrs, num_regs, block, warp,
             );
             let out = tracer.run();
             total.add(&out.totals);
@@ -599,7 +592,6 @@ impl<'a> WarpTracer<'a> {
         num_regs: usize,
         block: usize,
         warp_in_block: usize,
-        threads: usize,
     ) -> Self {
         WarpTracer {
             machine,
@@ -613,7 +605,6 @@ impl<'a> WarpTracer<'a> {
                 num_regs,
                 block,
                 warp_in_block,
-                threads,
             ),
             timing: TimingState::new(num_regs),
             totals: Totals::default(),

@@ -3,17 +3,15 @@
 //! Both the performance-bound tracer ([`perfbound`](crate::perfbound))
 //! and the ahead-of-time issue scheduler
 //! ([`schedule`](crate::schedule)) need the same launch-specialised
-//! enumeration of one warp's dynamic instruction stream: a bit-exact
-//! mirror of the simulator's SIMT reconvergence stack, concrete
-//! register values where they are statically known, absint-assisted
-//! branch resolution, and the stored-form (banks / compressed)
-//! tracking of the compression-aware register file. This module hoists
-//! that machinery into one place:
+//! enumeration of one warp's dynamic instruction stream: the SIMT
+//! reconvergence stack, concrete register values where they are
+//! statically known, absint-assisted branch resolution, and the
+//! stored-form (banks / compressed) tracking of the compression-aware
+//! register file. The stack and the per-lane values of specials and
+//! parameters are `simt_isa`'s [`SimtStack`] and [`WarpCoords`], the
+//! very types the simulator executes with. This module hoists the rest
+//! into one place:
 //!
-//! * [`MirrorStack`] — the SIMT stack mirror (`gpu_sim::SimtStack`
-//!   semantics, re-implemented here because the dependency points the
-//!   other way; the soundness proptests replay random kernels through
-//!   the real pipeline to pin the two together),
 //! * [`WarpReplay`] — the per-warp architectural replayer, yielding one
 //!   [`TraceStep`] per executed instruction until the warp drains
 //!   ([`StepOutcome::Done`]) or precision is lost
@@ -27,7 +25,7 @@
 use std::collections::HashMap;
 
 use bdi::{BdiCodec, WarpRegister, WARP_SIZE};
-use simt_isa::{Instruction, LatencyClass, Operand, Special};
+use simt_isa::{full_mask, taken_mask, Instruction, LatencyClass, Operand, SimtStack, WarpCoords};
 
 use crate::absint::AbsintAnalysis;
 use crate::perfbound::{PerfLaunch, PerfMachine};
@@ -40,99 +38,6 @@ pub const UNCOMPRESSED_BANKS: usize = 8;
 /// absint-driven branch that never makes concrete progress) loses
 /// precision instead of replaying on.
 pub const TRACE_FUEL: u64 = 1_000_000;
-
-// ---------------------------------------------------------------------
-// SIMT stack mirror
-// ---------------------------------------------------------------------
-
-/// Bit-exact mirror of the simulator's SIMT reconvergence stack
-/// (`gpu_sim::SimtStack`), which this crate cannot import (the
-/// dependency points the other way). `tests/perfbound_soundness.rs`
-/// and `tests/schedule.rs` replay random kernels through the real
-/// pipeline to pin the two together.
-#[derive(Clone, Debug)]
-pub struct MirrorStack {
-    entries: Vec<(usize, u32, usize)>, // (pc, mask, reconv)
-}
-
-const TOP_LEVEL: usize = usize::MAX;
-
-impl MirrorStack {
-    /// A fresh stack: all of `initial_mask` at pc 0.
-    pub fn new(initial_mask: u32) -> Self {
-        MirrorStack {
-            entries: vec![(0, initial_mask, TOP_LEVEL)],
-        }
-    }
-
-    /// The active pc, or `None` once every thread has exited.
-    pub fn pc(&self) -> Option<usize> {
-        self.entries.last().map(|e| e.0)
-    }
-
-    /// The active thread mask (0 once done).
-    pub fn mask(&self) -> u32 {
-        self.entries.last().map(|e| e.1).unwrap_or(0)
-    }
-
-    /// Whether more than one stack entry is live (warp is diverged).
-    pub fn is_diverged(&self) -> bool {
-        self.entries.len() > 1
-    }
-
-    /// Steps the active entry to the next pc.
-    pub fn advance(&mut self) {
-        if let Some(top) = self.entries.last_mut() {
-            top.0 += 1;
-        }
-        self.pop_reconverged();
-    }
-
-    /// Unconditional jump of the active entry.
-    pub fn jump(&mut self, target: usize) {
-        if let Some(top) = self.entries.last_mut() {
-            top.0 = target;
-        }
-        self.pop_reconverged();
-    }
-
-    /// Applies a (possibly divergent) branch with the given taken mask.
-    pub fn branch(&mut self, taken_mask: u32, target: usize, reconv: usize) {
-        let &(pc, mask, _) = self.entries.last().expect("branch on finished warp");
-        let fall_mask = mask & !taken_mask;
-        let fall_pc = pc + 1;
-        if taken_mask == 0 || fall_mask == 0 {
-            let top = self.entries.last_mut().expect("checked non-empty");
-            top.0 = if taken_mask != 0 { target } else { fall_pc };
-        } else {
-            let top = self.entries.last_mut().expect("checked non-empty");
-            top.0 = reconv;
-            self.entries.push((fall_pc, fall_mask, reconv));
-            self.entries.push((target, taken_mask, reconv));
-        }
-        self.pop_reconverged();
-    }
-
-    /// Retires the active entry's threads (the `exit` instruction).
-    pub fn exit_threads(&mut self) {
-        let mask = self.mask();
-        for e in &mut self.entries {
-            e.1 &= !mask;
-        }
-        self.entries.retain(|e| e.1 != 0);
-        self.pop_reconverged();
-    }
-
-    fn pop_reconverged(&mut self) {
-        while let Some(&(pc, _, reconv)) = self.entries.last() {
-            if self.entries.len() > 1 && pc == reconv {
-                self.entries.pop();
-            } else {
-                break;
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Pipeline timing relaxation
@@ -372,8 +277,8 @@ pub struct TraceStep {
     pub instr: Instruction,
     /// The active thread mask it executed under.
     pub mask: u32,
-    /// The engine's divergence predicate at issue (`stack diverged ||
-    /// mask != full_mask`).
+    /// The engine's divergence predicate at issue
+    /// ([`SimtStack::is_divergent`]).
     pub divergent: bool,
     /// Unique operand fetches, in first-use order, with pre-write
     /// stored-form facts.
@@ -407,13 +312,10 @@ pub enum StepOutcome {
 pub struct WarpReplay<'a> {
     machine: &'a PerfMachine,
     codec: &'a BdiCodec,
-    launch: &'a PerfLaunch,
     absint: &'a AbsintAnalysis,
     instrs: &'a [Instruction],
-    block: usize,
-    warp_in_block: usize,
-    full_mask: u32,
-    stack: MirrorStack,
+    coords: WarpCoords<'a>,
+    stack: SimtStack,
     regs: Vec<RegState>,
     fuel: u64,
     /// Whether store→load forwarding through the per-warp shadow memory
@@ -432,10 +334,9 @@ pub struct WarpReplay<'a> {
 }
 
 impl<'a> WarpReplay<'a> {
-    /// A fresh replay of warp `warp_in_block` of `block`, with
-    /// `threads` live threads (the trailing warp of a block may be
-    /// partial). Registers initialise to zero in the stored form the
-    /// machine's allocation path guarantees.
+    /// A fresh replay of warp `warp_in_block` of `block` (the trailing
+    /// warp of a block may be partial). Registers initialise to zero in
+    /// the stored form the machine's allocation path guarantees.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         machine: &'a PerfMachine,
@@ -446,37 +347,29 @@ impl<'a> WarpReplay<'a> {
         num_regs: usize,
         block: usize,
         warp_in_block: usize,
-        threads: usize,
     ) -> Self {
-        let full_mask = if threads >= WARP_SIZE {
-            u32::MAX
-        } else {
-            (1u32 << threads) - 1
+        let coords = WarpCoords {
+            block,
+            warp_in_block,
+            blocks: launch.blocks,
+            threads_per_block: launch.threads_per_block,
+            params: &launch.params,
         };
-        let initial = if machine.compression_enabled() {
-            let c = codec.compress(&WarpRegister::ZERO);
-            RegState {
-                value: Some(WarpRegister::ZERO),
-                banks: Some(c.banks_required()),
-                compressed: Some(c.is_compressed()),
-            }
-        } else {
-            RegState {
-                value: Some(WarpRegister::ZERO),
-                banks: Some(UNCOMPRESSED_BANKS),
-                compressed: Some(false),
-            }
+        // Zero in the stored form a write gives it (a disabled codec
+        // leaves every value uncompressed, in all 8 banks).
+        let zero = codec.compress(&WarpRegister::ZERO);
+        let initial = RegState {
+            value: Some(WarpRegister::ZERO),
+            banks: Some(zero.banks_required()),
+            compressed: Some(zero.is_compressed()),
         };
         WarpReplay {
             machine,
             codec,
-            launch,
             absint,
             instrs,
-            block,
-            warp_in_block,
-            full_mask,
-            stack: MirrorStack::new(full_mask),
+            stack: SimtStack::new(full_mask(coords.threads()), 0),
+            coords,
             regs: vec![initial; num_regs],
             fuel: TRACE_FUEL,
             forward_mem: false,
@@ -516,11 +409,6 @@ impl<'a> WarpReplay<'a> {
         self.stack.pc()
     }
 
-    /// The warp's full (launch-time) thread mask.
-    pub fn full_mask(&self) -> u32 {
-        self.full_mask
-    }
-
     /// Executes the next instruction architecturally.
     pub fn step(&mut self) -> StepOutcome {
         let Some(pc) = self.stack.pc() else {
@@ -534,13 +422,15 @@ impl<'a> WarpReplay<'a> {
         let instr = self.instrs[pc];
         let mask = self.stack.mask();
         // Exactly the engine's divergence predicate at issue.
-        let divergent = self.stack.is_diverged() || mask != self.full_mask;
+        let divergent = self.stack.is_divergent();
 
-        if let Instruction::Bra { pred, .. } = instr {
-            if self.taken_mask(pc, pred.index(), mask).is_none() {
-                return StepOutcome::Lost(LossReason::UnknownPredicate { pc });
-            }
-        }
+        let taken = match instr {
+            Instruction::Bra { pred, .. } => match self.taken_mask(pc, pred.index(), mask) {
+                Some(taken) => taken,
+                None => return StepOutcome::Lost(LossReason::UnknownPredicate { pc }),
+            },
+            _ => 0,
+        };
 
         // Pre-write operand facts (reads happen before the write, so a
         // destination that is also a source reads its old stored form).
@@ -556,62 +446,34 @@ impl<'a> WarpReplay<'a> {
         let dst = instr.dst().map(|r| r.index());
         let compresses = dst.is_some() && self.write_compresses(divergent);
 
-        let dst_banks = match instr {
-            Instruction::Jmp { target } => {
-                self.stack.jump(target);
-                None
-            }
-            Instruction::Exit => {
-                self.stack.exit_threads();
-                None
-            }
-            Instruction::Bra {
-                pred,
-                target,
-                reconv,
-            } => {
-                let taken = self
-                    .taken_mask(pc, pred.index(), mask)
-                    .expect("checked above");
-                self.stack.branch(taken, target, reconv);
-                None
-            }
+        // The destination's new value, when known.
+        let result = match instr {
+            Instruction::Mov { src, .. } => self.eval(src),
+            Instruction::Alu { op, a, b, .. } => match (self.eval(a), self.eval(b)) {
+                (Some(va), Some(vb)) => Some(WarpRegister::from_fn(|lane| {
+                    op.apply(va.lane(lane), vb.lane(lane))
+                })),
+                _ => None,
+            },
+            // Memory contents are outside the static model, except for
+            // words this warp itself stored when forwarding is armed
+            // (warp-isolated launches), and never-stored words of the
+            // initial image when the cell analysis is armed.
+            Instruction::Ld { base, offset, .. } => self.resolve_load(base.index(), offset, mask),
             Instruction::St { base, offset, src } => {
                 if self.forward_mem {
                     self.shadow_store(base.index(), offset, src.index(), mask);
                 }
-                self.stack.advance();
                 None
             }
-            Instruction::Mov { dst, src } => {
-                let result = self.eval(src);
-                let banks = self.write(dst.index(), result, mask, divergent);
-                self.stack.advance();
-                banks
-            }
-            Instruction::Alu { op, dst, a, b } => {
-                let result = match (self.eval(a), self.eval(b)) {
-                    (Some(va), Some(vb)) => Some(WarpRegister::from_fn(|lane| {
-                        op.apply(va.lane(lane), vb.lane(lane))
-                    })),
-                    _ => None,
-                };
-                let banks = self.write(dst.index(), result, mask, divergent);
-                self.stack.advance();
-                banks
-            }
-            Instruction::Ld { dst, base, offset } => {
-                // Memory contents are outside the static model, except
-                // for words this warp itself stored when forwarding is
-                // armed (warp-isolated launches), and never-stored
-                // words of the initial image when the cell analysis is
-                // armed.
-                let result = self.resolve_load(base.index(), offset, mask);
-                let banks = self.write(dst.index(), result, mask, divergent);
-                self.stack.advance();
-                banks
-            }
+            _ => None,
         };
+        let dst_banks = dst.and_then(|d| self.write(d, result, mask, divergent));
+        if let Instruction::Bra { target, reconv, .. } = instr {
+            self.stack.branch(taken, target, reconv);
+        } else {
+            self.stack.issue(&instr);
+        }
 
         StepOutcome::Step(TraceStep {
             pc,
@@ -735,13 +597,7 @@ impl<'a> WarpReplay<'a> {
     /// range at this pc ("can never be zero" / "is always zero").
     fn taken_mask(&self, pc: usize, pred: usize, mask: u32) -> Option<u32> {
         if let Some(v) = &self.regs[pred].value {
-            let mut taken = 0u32;
-            for lane in 0..WARP_SIZE {
-                if mask & (1 << lane) != 0 && v.lane(lane) != 0 {
-                    taken |= 1 << lane;
-                }
-            }
-            return Some(taken);
+            return Some(taken_mask(mask, |lane| v.lane(lane)));
         }
         let range = self.absint.state_at(pc)?.get(pred)?.per_lane_range()?;
         if !range.contains(0) {
@@ -753,25 +609,13 @@ impl<'a> WarpReplay<'a> {
         }
     }
 
-    /// Mirror of the engine's operand evaluation, launch-specialised.
+    /// The operand's value in every lane, when known.
     fn eval(&self, op: Operand) -> Option<WarpRegister> {
-        let tpb = self.launch.threads_per_block as u32;
         match op {
             Operand::Reg(r) => self.regs[r.index()].value,
             Operand::Imm(v) => Some(WarpRegister::splat(v as u32)),
-            Operand::Param(i) => Some(WarpRegister::splat(self.launch.param(i as usize))),
-            Operand::Special(s) => Some(WarpRegister::from_fn(|lane| {
-                let tid = (self.warp_in_block * WARP_SIZE + lane) as u32;
-                match s {
-                    Special::Tid => tid,
-                    Special::Bid => self.block as u32,
-                    Special::BlockDim => tpb,
-                    Special::GridDim => self.launch.blocks as u32,
-                    Special::GlobalTid => self.block as u32 * tpb + tid,
-                    Special::LaneId => lane as u32,
-                    Special::WarpId => self.warp_in_block as u32,
-                }
-            })),
+            Operand::Param(i) => Some(WarpRegister::splat(self.coords.param(i))),
+            Operand::Special(s) => Some(WarpRegister::from_fn(|lane| self.coords.special(s, lane))),
         }
     }
 }

@@ -15,7 +15,12 @@
 //!   the two sources of the value similarity characterised in §3,
 //! * word-addressed global loads/stores,
 //! * structured branches carrying an explicit reconvergence label, which
-//!   lets the simulator maintain a classic SIMT reconvergence stack.
+//!   drive the classic SIMT reconvergence stack ([`SimtStack`]).
+//!
+//! The crate also owns the SIMT execution semantics every engine and
+//! analysis shares: the reconvergence stack, the per-lane values of
+//! specials and parameters ([`WarpCoords`]), and the warp and branch
+//! masks ([`full_mask`], [`taken_mask`]).
 //!
 //! # Example
 //!
@@ -42,9 +47,11 @@ mod builder;
 mod instr;
 mod kernel;
 mod operand;
+mod simt;
 
 pub use asm::{assemble, to_asm, write_asm, AsmError, AsmErrorKind};
 pub use builder::{BuildError, KernelBuilder, Label};
 pub use instr::{AluOp, ControlFlow, Instruction, LatencyClass, SrcRegs};
 pub use kernel::{Kernel, KernelError};
 pub use operand::{Operand, Reg, Special};
+pub use simt::{full_mask, taken_mask, SimtStack, WarpCoords};

@@ -3,6 +3,7 @@
 use bdi::ChoiceSet;
 use gpu_regfile::RegFileConfig;
 use serde::{Deserialize, Serialize};
+use simt_isa::LatencyClass;
 
 /// Warp scheduling policy (§6.5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -74,20 +75,27 @@ impl CompressionConfig {
     pub fn is_enabled(&self) -> bool {
         !self.choices.is_disabled()
     }
+
+    /// Whether a program write in this divergence state passes through
+    /// the compressor: always with compression on, except divergent
+    /// writes under the §5.2 policy, which are stored uncompressed.
+    pub(crate) fn compresses_write(&self, divergent: bool) -> bool {
+        self.is_enabled() && !(divergent && self.divergence == DivergencePolicy::UncompressedWrites)
+    }
 }
 
 /// Full single-SM configuration.
 ///
 /// Constructors [`GpuConfig::baseline`] and
 /// [`GpuConfig::warped_compression`] give the two designs the paper
-/// compares; everything else is a field tweak away.
+/// compares; everything else is a field tweak away. Warps are
+/// [`bdi::WARP_SIZE`] = 32 threads wide (Table 2), fixed by the 32-lane
+/// warp register the codec compresses.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GpuConfig {
     /// SMs on the chip (Table 2: 15). The simulator models one SM; this
     /// only scales whole-chip reporting.
     pub num_sms: usize,
-    /// Threads per warp (Table 2: 32).
-    pub warp_size: usize,
     /// Maximum resident warps per SM (Table 2: 48).
     pub max_warps_per_sm: usize,
     /// Warp schedulers per SM (Table 2: 2); warp slot *s* belongs to
@@ -120,7 +128,6 @@ impl GpuConfig {
     pub fn baseline() -> Self {
         GpuConfig {
             num_sms: 15,
-            warp_size: 32,
             max_warps_per_sm: 48,
             num_schedulers: 2,
             scheduler: SchedulerPolicy::Gto,
@@ -146,6 +153,15 @@ impl GpuConfig {
             regfile: RegFileConfig::paper_baseline(),
             compression: CompressionConfig::warped_compression(),
             ..GpuConfig::baseline()
+        }
+    }
+
+    /// Result latency of an instruction of class `class`, cycles.
+    pub(crate) fn latency_of(&self, class: LatencyClass) -> u64 {
+        match class {
+            LatencyClass::Sfu => self.sfu_latency,
+            LatencyClass::Memory => self.mem_latency,
+            _ => self.alu_latency,
         }
     }
 }

@@ -48,13 +48,13 @@
 
 mod chip;
 mod config;
+mod exec;
 mod launch;
 mod memory;
 #[cfg(feature = "sanitize")]
 mod sanitize;
 mod scheduled;
 mod scoreboard;
-mod simt_stack;
 mod sm;
 mod stats;
 mod warp;
@@ -64,7 +64,7 @@ pub use config::{CompressionConfig, DivergencePolicy, GpuConfig, SchedulerPolicy
 pub use launch::{LaunchConfig, LaunchError};
 pub use memory::{GlobalMemory, MemoryAllocError, MemoryFault};
 pub use scheduled::ScheduledResult;
-pub use simt_stack::SimtStack;
+pub use simt_isa::SimtStack;
 pub use sm::{FinalRegs, GpuSim, SimError, SimResult};
 pub use stats::{
     CensusStats, MemEvent, MemTrafficStats, PcMemTraffic, PcStalls, SimStats, StallCause,

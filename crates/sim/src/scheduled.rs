@@ -47,12 +47,12 @@ use std::collections::{BTreeMap, HashMap};
 use bdi::{BdiCodec, CompressedRegister, WarpRegister};
 use gpu_regfile::{RegisterFile, WarpSlot, WriteError};
 use simt_analysis::IssuePlan;
-use simt_isa::{Instruction, Kernel, LatencyClass, Operand, Special};
+use simt_isa::{full_mask, Instruction, Kernel, LatencyClass, SimtStack};
 
-use crate::config::{DivergencePolicy, GpuConfig};
+use crate::config::GpuConfig;
+use crate::exec::{capture, decode, execute, merge_source, Dispatch, Effect};
 use crate::launch::LaunchConfig;
 use crate::memory::GlobalMemory;
-use crate::simt_stack::SimtStack;
 use crate::sm::{FinalRegs, GpuSim, SimError};
 use crate::stats::SimStats;
 
@@ -131,23 +131,6 @@ impl GpuSim {
     }
 }
 
-/// The mask of an `n`-thread warp.
-fn full_mask_of(threads: usize) -> u32 {
-    if threads >= 32 {
-        u32::MAX
-    } else {
-        (1u32 << threads) - 1
-    }
-}
-
-fn latency_of(cfg: &GpuConfig, class: LatencyClass) -> u64 {
-    match class {
-        LatencyClass::Sfu => cfg.sfu_latency,
-        LatencyClass::Memory => cfg.mem_latency,
-        _ => cfg.alu_latency,
-    }
-}
-
 /// The scoreboard replacement: re-derives every constraint the
 /// scheduler promises from the plan's cycles alone and rejects the
 /// plan if any is violated.
@@ -176,7 +159,7 @@ fn validate_plan(
             plan.num_compressors, cfg.compression.num_compressors
         )));
     }
-    let wpb = launch.warps_per_block(cfg.warp_size);
+    let wpb = launch.warps_per_block();
     if plan.warps_per_block != wpb {
         return Err(plan_err(format!(
             "plan laid out {} warps per block, launch needs {wpb}",
@@ -221,9 +204,7 @@ fn validate_plan(
                 w.slot, plan.max_resident_warps
             )));
         }
-        let threads =
-            (launch.threads_per_block() - w.warp_in_block * cfg.warp_size).min(cfg.warp_size);
-        let full_mask = full_mask_of(threads);
+        let full_mask = full_mask(launch.coords(w.block, w.warp_in_block).threads());
         lifetimes
             .entry(w.slot)
             .or_default()
@@ -262,9 +243,7 @@ fn validate_plan(
                     format!("{at}: destination mismatch"),
                 ));
             }
-            let expect_comp = s.dst.is_some()
-                && comp.is_enabled()
-                && !(s.divergent && comp.divergence == DivergencePolicy::UncompressedWrites);
+            let expect_comp = s.dst.is_some() && comp.compresses_write(s.divergent);
             if s.compresses != expect_comp {
                 return Err(plan_err_at(
                     gid,
@@ -357,7 +336,7 @@ fn validate_plan(
                         }
                         _ => {
                             let retire = dispatch
-                                + latency_of(cfg, instr.latency_class())
+                                + cfg.latency_of(instr.latency_class())
                                 + s.decomp_cycles
                                 + s.comp_cycles;
                             if s.retire != Some(retire) {
@@ -446,7 +425,6 @@ struct Active {
     gid: usize,
     block: usize,
     warp_in_block: usize,
-    full_mask: u32,
     stack: SimtStack,
 }
 
@@ -482,11 +460,7 @@ impl<'a> Replayer<'a> {
         rf_cfg.wakeup_latency = 0;
         rf_cfg.drowsy_wakeup_latency = 0;
         let codec = BdiCodec::new(cfg.compression.choices.clone());
-        let initial_reg = if cfg.compression.is_enabled() {
-            codec.compress(&WarpRegister::ZERO)
-        } else {
-            CompressedRegister::Uncompressed(WarpRegister::ZERO)
-        };
+        let initial_reg = codec.compress(&WarpRegister::ZERO);
         Replayer {
             regfile: RegisterFile::new(rf_cfg),
             active: (0..plan.max_resident_warps).map(|_| None).collect(),
@@ -560,14 +534,11 @@ impl<'a> Replayer<'a> {
             e.time,
         )?;
         let w = &self.plan.warps[e.gid];
-        let threads = (self.launch.threads_per_block() - w.warp_in_block * self.cfg.warp_size)
-            .min(self.cfg.warp_size);
-        let full_mask = full_mask_of(threads);
+        let full_mask = full_mask(self.launch.coords(w.block, w.warp_in_block).threads());
         self.active[e.slot] = Some(Active {
             gid: e.gid,
             block: w.block,
             warp_in_block: w.warp_in_block,
-            full_mask,
             stack: SimtStack::new(full_mask, 0),
         });
         Ok(())
@@ -607,7 +578,7 @@ impl<'a> Replayer<'a> {
                 ),
             ));
         }
-        let divergent = a.stack.is_diverged() || s.mask != a.full_mask;
+        let divergent = a.stack.is_divergent();
         if divergent != s.divergent {
             return Err(plan_err_at(
                 e.gid,
@@ -615,17 +586,10 @@ impl<'a> Replayer<'a> {
                 format!("warp {} pc {}: divergence state mismatch", e.gid, s.pc),
             ));
         }
-        self.stats.instructions += 1;
-        if divergent {
-            self.stats.divergent_instructions += 1;
-        }
-        match self.kernel.instr(s.pc).expect("pc validated") {
-            Instruction::Jmp { target } => a.stack.jump(*target),
-            Instruction::Exit => a.stack.exit_threads(),
-            // Branches resolve with real operand values at dispatch.
-            Instruction::Bra { .. } => {}
-            _ => a.stack.advance(),
-        }
+        self.stats.count_issue(divergent, false);
+        // Branches resolve with real operand values at dispatch.
+        a.stack
+            .issue(self.kernel.instr(s.pc).expect("pc validated"));
         Ok(())
     }
 
@@ -636,8 +600,8 @@ impl<'a> Replayer<'a> {
         // Operand capture. The stored compression state is checked
         // against the plan's charge: a compressed operand the plan
         // modelled as a plain read would have delivered early.
-        let mut values: HashMap<usize, WarpRegister> = HashMap::new();
-        for &reg in &s.sources {
+        let mut values = [WarpRegister::ZERO; 2];
+        for (value, &reg) in values.iter_mut().zip(&s.sources) {
             if self.regfile.is_compressed(WarpSlot(e.slot), reg) {
                 if s.decomp_cycles == 0 {
                     return Err(plan_err_at(
@@ -660,86 +624,31 @@ impl<'a> Replayer<'a> {
                     reg,
                     source,
                 })?;
-            let value =
-                self.codec
-                    .try_decompress(&sample.register)
-                    .map_err(|err| SimError::Read {
-                        slot: e.slot,
-                        reg,
-                        source: gpu_regfile::ReadError::Corrupted(err),
-                    })?;
-            values.insert(reg, value);
+            *value = decode(&self.codec, e.slot, reg, &sample.register)?;
         }
 
         let a = self.active[e.slot].as_mut().expect("warp alive");
-        let (block, warp_in_block) = (a.block, a.warp_in_block);
-        let warp_size = self.cfg.warp_size;
-        let launch = self.launch;
-        let eval = |op: Operand, lane: usize| -> u32 {
-            match op {
-                Operand::Reg(r) => values[&r.index()].lane(lane),
-                Operand::Imm(v) => v as u32,
-                Operand::Param(i) => launch.param(i as usize),
-                Operand::Special(sp) => {
-                    let tid = (warp_in_block * warp_size + lane) as u32;
-                    match sp {
-                        Special::Tid => tid,
-                        Special::Bid => block as u32,
-                        Special::BlockDim => launch.threads_per_block() as u32,
-                        Special::GridDim => launch.blocks() as u32,
-                        Special::GlobalTid => {
-                            block as u32 * launch.threads_per_block() as u32 + tid
-                        }
-                        Special::LaneId => lane as u32,
-                        Special::WarpId => warp_in_block as u32,
-                    }
-                }
-            }
+        let d = Dispatch {
+            instr,
+            pc: s.pc,
+            mask: s.mask,
+            srcs: &s.sources,
+            values: &values,
         };
-
-        match instr {
-            Instruction::Mov { src, .. } => {
-                let result = WarpRegister::from_fn(|lane| eval(src, lane));
+        let coords = self.launch.coords(a.block, a.warp_in_block);
+        let effect = execute(self.kernel.name(), &d, &coords, self.memory)?;
+        match effect {
+            Effect::Value(result) => {
                 self.pending.insert((e.gid, e.step), result);
             }
-            Instruction::Alu { op, a, b, .. } => {
-                let result = WarpRegister::from_fn(|lane| op.apply(eval(a, lane), eval(b, lane)));
-                self.pending.insert((e.gid, e.step), result);
-            }
-            Instruction::Ld { base, offset, .. } => {
-                let mut result = WarpRegister::ZERO;
-                for lane in 0..warp_size {
-                    if s.mask & (1 << lane) != 0 {
-                        let addr = values[&base.index()].lane(lane).wrapping_add(offset as u32);
-                        result.set_lane(lane, self.memory.load(addr)?);
-                    }
-                }
-                self.pending.insert((e.gid, e.step), result);
-            }
-            Instruction::St { base, offset, src } => {
-                for lane in 0..warp_size {
-                    if s.mask & (1 << lane) != 0 {
-                        let addr = values[&base.index()].lane(lane).wrapping_add(offset as u32);
-                        self.memory.store(addr, values[&src.index()].lane(lane))?;
-                    }
+            Effect::Mem(access) => {
+                if s.dst.is_some() {
+                    let result = WarpRegister::from(access.values);
+                    self.pending.insert((e.gid, e.step), result);
                 }
             }
-            Instruction::Bra {
-                pred,
-                target,
-                reconv,
-            } => {
-                let pv = &values[&pred.index()];
-                let mut taken = 0u32;
-                for lane in 0..warp_size {
-                    if s.mask & (1 << lane) != 0 && pv.lane(lane) != 0 {
-                        taken |= 1 << lane;
-                    }
-                }
+            Effect::Branch(taken, target, reconv) => {
                 a.stack.branch(taken, target, reconv);
-            }
-            Instruction::Jmp { .. } | Instruction::Exit => {
-                unreachable!("control-only steps have no dispatch (validated)")
             }
         }
         Ok(())
@@ -754,37 +663,17 @@ impl<'a> Replayer<'a> {
             .expect("dispatch precedes retire (validated ordering)");
 
         if s.mask != u32::MAX {
-            // Merge the stored value into inactive lanes. Under the
-            // §5.2 policy per-lane write enables make this free; under
-            // decompress-merge-recompress a divergent merge costs a
-            // counted read (and a decompressor pass when compressed).
-            let counted = self.cfg.compression.is_enabled()
-                && self.cfg.compression.divergence == DivergencePolicy::DecompressMergeRecompress
-                && s.divergent;
-            let stored = if counted {
-                let read = self.regfile.read(WarpSlot(e.slot), reg, e.time);
-                if read.register.is_compressed() {
-                    self.stats.decompressor_activations += 1;
-                }
-                *read.register
-            } else {
-                self.regfile
-                    .peek(WarpSlot(e.slot), reg)
-                    .copied()
-                    .ok_or(SimError::Read {
-                        slot: e.slot,
-                        reg,
-                        source: gpu_regfile::ReadError::Unallocated,
-                    })?
-            };
-            let old = self
-                .codec
-                .try_decompress(&stored)
-                .map_err(|err| SimError::Read {
-                    slot: e.slot,
-                    reg,
-                    source: gpu_regfile::ReadError::Corrupted(err),
-                })?;
+            let comp = &self.cfg.compression;
+            let (old, decompressed) = merge_source(
+                &mut self.regfile,
+                &self.codec,
+                comp,
+                s.divergent,
+                e.slot,
+                reg,
+                e.time,
+            )?;
+            self.stats.decompressor_activations += u64::from(decompressed);
             result = old.merge_masked(&result, s.mask);
         }
 
@@ -794,20 +683,7 @@ impl<'a> Replayer<'a> {
         } else {
             CompressedRegister::Uncompressed(result)
         };
-        let class = compressed.class();
-        self.stats.writes += 1;
-        if class.is_compressed() {
-            self.stats.writes_compressed += 1;
-        }
-        let logical = bdi::WARP_REGISTER_BYTES as u64;
-        let stored_len = compressed.stored_len() as u64;
-        if s.divergent {
-            self.stats.div_logical_bytes += logical;
-            self.stats.div_stored_bytes += stored_len;
-        } else {
-            self.stats.nondiv_logical_bytes += logical;
-            self.stats.nondiv_stored_bytes += stored_len;
-        }
+        self.stats.count_write(&compressed, s.divergent, false);
         match self
             .regfile
             .write(WarpSlot(e.slot), reg, compressed, e.time)
@@ -847,15 +723,7 @@ impl<'a> Replayer<'a> {
                 ),
             ));
         }
-        let regs = (0..self.num_regs)
-            .map(|r| {
-                let stored = self
-                    .regfile
-                    .peek(WarpSlot(e.slot), r)
-                    .expect("still allocated");
-                self.codec.decompress(stored)
-            })
-            .collect();
+        let regs = capture(&self.regfile, &self.codec, e.slot, self.num_regs);
         self.final_regs.insert((a.block, a.warp_in_block), regs);
         self.regfile.free_warp(WarpSlot(e.slot), e.time);
         Ok(())
@@ -865,8 +733,9 @@ impl<'a> Replayer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::MemoryFault;
     use simt_analysis::{schedule_kernel, PerfLaunch, PerfMachine};
-    use simt_isa::{AluOp, KernelBuilder, Reg};
+    use simt_isa::{AluOp, KernelBuilder, Operand, Reg, Special};
 
     fn machine_for(cfg: &GpuConfig) -> PerfMachine {
         if cfg.compression.is_enabled() {
@@ -1050,5 +919,41 @@ mod tests {
             .run_scheduled(&kernel, &plan, &launch, &mut mem)
             .unwrap_err();
         assert!(matches!(err, SimError::Plan { .. }), "got {err}");
+    }
+
+    #[test]
+    fn memory_fault_site_matches_dynamic_core() {
+        // mem[gtid + 40] = gtid over a 32-word memory: lane 0 faults.
+        let mut b = KernelBuilder::new("oob", 2);
+        b.mov(Reg(0), Operand::Special(Special::GlobalTid));
+        b.alu(AluOp::Add, Reg(1), Reg(0).into(), Operand::Imm(40));
+        b.st(Reg(1), 0, Reg(0));
+        b.exit();
+        let kernel = b.build().unwrap();
+        let cfg = GpuConfig::warped_compression();
+        let plan = schedule_kernel(
+            &kernel,
+            &PerfLaunch::new(1, 32),
+            &machine_for(&cfg),
+            residency(&cfg, &kernel),
+        )
+        .expect("kernel is schedulable");
+        let launch = LaunchConfig::new(1, 32);
+        let sim = GpuSim::new(cfg);
+        let dynamic = sim
+            .run(&kernel, &launch, &mut GlobalMemory::zeroed(32))
+            .unwrap_err();
+        let scheduled = sim
+            .run_scheduled(&kernel, &plan, &launch, &mut GlobalMemory::zeroed(32))
+            .unwrap_err();
+        let expected = SimError::MemoryAt {
+            kernel: "oob".into(),
+            block: 0,
+            warp_in_block: 0,
+            pc: 2,
+            fault: MemoryFault { addr: 40, size: 32 },
+        };
+        assert_eq!(dynamic, expected);
+        assert_eq!(scheduled, expected);
     }
 }

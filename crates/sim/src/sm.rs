@@ -6,11 +6,12 @@ use std::error::Error;
 use std::fmt;
 use std::mem;
 
-use bdi::{BdiCodec, CompressedRegister, WarpRegister};
+use bdi::{BdiCodec, CompressedRegister, WarpRegister, WARP_SIZE};
 use gpu_regfile::{BankPorts, RegFileError, RegisterFile, WarpSlot, WriteError};
-use simt_isa::{Instruction, Kernel, LatencyClass, Operand, Special, SrcRegs};
+use simt_isa::{Instruction, Kernel, LatencyClass, Operand, SrcRegs, WarpCoords};
 
-use crate::config::{DivergencePolicy, GpuConfig, SchedulerPolicy};
+use crate::config::{GpuConfig, SchedulerPolicy};
+use crate::exec::{capture, decode, execute, merge_source, Dispatch, Effect, MemAccess};
 use crate::launch::LaunchConfig;
 use crate::memory::{GlobalMemory, MemoryFault};
 use crate::scoreboard::Scoreboard;
@@ -22,12 +23,8 @@ use crate::warp::WarpState;
 /// Simulation failures.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SimError {
-    /// A thread accessed global memory out of range.
-    Memory(MemoryFault),
-    /// A thread accessed global memory out of range, with the faulting
-    /// access site attributed (kernel, warp, pc). The engine raises
-    /// this instead of the bare [`SimError::Memory`] whenever the
-    /// context is known.
+    /// A thread accessed global memory out of range, attributed to the
+    /// faulting access site (kernel, warp, pc).
     MemoryAt {
         /// Kernel the faulting instruction belongs to.
         kernel: String,
@@ -92,7 +89,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::Memory(m) => write!(f, "memory fault: {m}"),
             SimError::MemoryAt {
                 kernel,
                 block,
@@ -144,7 +140,6 @@ impl fmt::Display for SimError {
 impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            SimError::Memory(m) => Some(m),
             SimError::MemoryAt { fault, .. } => Some(fault),
             SimError::RegFile(e) => Some(e),
             SimError::Read { source, .. } => Some(source),
@@ -153,32 +148,9 @@ impl Error for SimError {
     }
 }
 
-impl From<MemoryFault> for SimError {
-    fn from(m: MemoryFault) -> Self {
-        SimError::Memory(m)
-    }
-}
-
 impl From<RegFileError> for SimError {
     fn from(e: RegFileError) -> Self {
         SimError::RegFile(e)
-    }
-}
-
-/// Attributes a [`MemoryFault`] to its access site.
-fn mem_fault_at(
-    kernel: &str,
-    block: usize,
-    warp_in_block: usize,
-    pc: usize,
-    fault: MemoryFault,
-) -> SimError {
-    SimError::MemoryAt {
-        kernel: kernel.to_string(),
-        block,
-        warp_in_block,
-        pc,
-        fault,
     }
 }
 
@@ -392,18 +364,6 @@ impl Collector {
     fn is_ready(&self) -> bool {
         self.values[..self.srcs.len()].iter().all(Option::is_some)
     }
-
-    /// The captured value of source register `reg`.
-    fn operand(&self, reg: usize) -> &WarpRegister {
-        let i = self
-            .srcs
-            .iter()
-            .position(|&r| r == reg)
-            .expect("operand is a source");
-        self.values[i]
-            .as_ref()
-            .expect("dispatch requires all operands")
-    }
 }
 
 // Entries are stepped in place, so the stored form stays inline: boxing
@@ -500,7 +460,7 @@ impl<'a> Engine<'a> {
         let num_regs = kernel.num_regs().max(1) as usize;
         let regfile = RegisterFile::new(cfg.regfile);
         let max_resident = cfg.max_warps_per_sm.min(regfile.max_slots(num_regs));
-        let warps_needed = launch.warps_per_block(cfg.warp_size);
+        let warps_needed = launch.warps_per_block();
         if warps_needed > max_resident {
             return Err(SimError::BlockTooLarge {
                 warps_needed,
@@ -508,11 +468,9 @@ impl<'a> Engine<'a> {
             });
         }
         let codec = BdiCodec::new(cfg.compression.choices.clone());
-        let initial_reg = if cfg.compression.is_enabled() {
-            codec.compress(&WarpRegister::ZERO)
-        } else {
-            CompressedRegister::Uncompressed(WarpRegister::ZERO)
-        };
+        // Registers start at zero in the stored form a write would give
+        // them (a disabled codec leaves every value uncompressed).
+        let initial_reg = codec.compress(&WarpRegister::ZERO);
         Ok(Engine {
             ports: BankPorts::new(cfg.regfile.num_banks),
             scoreboard: Scoreboard::new(max_resident, num_regs),
@@ -600,17 +558,16 @@ impl<'a> Engine<'a> {
     // -----------------------------------------------------------------
 
     fn launch_blocks(&mut self) -> Result<(), SimError> {
-        let wpb = self.launch.warps_per_block(self.cfg.warp_size);
+        let wpb = self.launch.warps_per_block();
         while self.next_block < self.last_block && self.free_slots >= wpb {
             let block = self.next_block;
-            let tpb = self.launch.threads_per_block();
             // The block's warps take the lowest free slots, in order.
             let mut slot = 0;
             for w in 0..wpb {
                 while self.warps[slot].is_some() {
                     slot += 1;
                 }
-                let threads = (tpb - w * self.cfg.warp_size).min(self.cfg.warp_size);
+                let threads = self.launch.coords(block, w).threads();
                 self.regfile.allocate_warp_with(
                     WarpSlot(slot),
                     self.num_regs,
@@ -647,13 +604,7 @@ impl<'a> Engine<'a> {
                 }
                 if let Some(cap) = self.capture.as_mut() {
                     let w = self.warps[s].as_ref().expect("drained warp present");
-                    let regs = (0..self.num_regs)
-                        .map(|r| {
-                            let stored =
-                                self.regfile.peek(WarpSlot(s), r).expect("still allocated");
-                            self.codec.decompress(stored)
-                        })
-                        .collect();
+                    let regs = capture(&self.regfile, &self.codec, s, self.num_regs);
                     cap.insert((w.block, w.warp_in_block), regs);
                 }
                 self.regfile.free_warp(WarpSlot(s), self.now);
@@ -689,7 +640,7 @@ impl<'a> Engine<'a> {
         slots.extend(
             (s..self.warps.len())
                 .step_by(self.cfg.num_schedulers)
-                .filter(|&slot| matches!(&self.warps[slot], Some(w) if !w.is_done() && !w.blocked)),
+                .filter(|&slot| matches!(&self.warps[slot], Some(w) if !w.stack.is_done() && !w.blocked)),
         );
         match self.cfg.scheduler {
             SchedulerPolicy::Gto => {
@@ -726,18 +677,18 @@ impl<'a> Engine<'a> {
             return false;
         };
         let instr = *self.kernel.instr(pc).expect("pc validated by Kernel");
-        let mask = warp.stack.mask();
-        let divergent = warp.is_divergent();
+        let (mask, full_mask) = (warp.stack.mask(), warp.stack.full_mask());
+        let divergent = warp.stack.is_divergent();
 
-        // §5.2: a divergent write to a compressed register is preceded by
-        // an injected dummy MOV that decompresses it in place.
-        let inject = self.cfg.compression.is_enabled()
-            && self.cfg.compression.divergence == DivergencePolicy::UncompressedWrites
-            && divergent
+        // §5.2: a divergent write, stored uncompressed, to a compressed
+        // register is preceded by an injected dummy MOV that
+        // decompresses it in place.
+        let comp = &self.cfg.compression;
+        let inject = comp.is_enabled()
+            && !comp.compresses_write(divergent)
             && instr
                 .dst()
-                .map(|d| self.regfile.is_compressed(WarpSlot(slot), d.index()))
-                .unwrap_or(false);
+                .is_some_and(|d| self.regfile.is_compressed(WarpSlot(slot), d.index()));
         let (actual, actual_mask, synthetic) = if inject {
             let d = instr.dst().expect("inject requires a destination");
             (
@@ -745,7 +696,7 @@ impl<'a> Engine<'a> {
                     dst: d,
                     src: Operand::Reg(d),
                 },
-                self.warps[slot].as_ref().expect("checked").full_mask,
+                full_mask,
                 true,
             )
         } else {
@@ -768,16 +719,10 @@ impl<'a> Engine<'a> {
         }
 
         match actual {
-            Instruction::Jmp { target } => {
+            Instruction::Jmp { .. } | Instruction::Exit => {
                 let warp = self.warps[slot].as_mut().expect("checked");
-                warp.stack.jump(target);
-                self.count_issue(divergent, synthetic);
-                true
-            }
-            Instruction::Exit => {
-                let warp = self.warps[slot].as_mut().expect("checked");
-                warp.stack.exit_threads();
-                self.count_issue(divergent, synthetic);
+                warp.stack.issue(&actual);
+                self.stats.count_issue(divergent, synthetic);
                 true
             }
             _ => {
@@ -809,19 +754,8 @@ impl<'a> Engine<'a> {
                     values: [None, None],
                     decomp_extra: 0,
                 });
-                self.count_issue(divergent, synthetic);
+                self.stats.count_issue(divergent, synthetic);
                 true
-            }
-        }
-    }
-
-    fn count_issue(&mut self, divergent: bool, synthetic: bool) {
-        if synthetic {
-            self.stats.synthetic_movs += 1;
-        } else {
-            self.stats.instructions += 1;
-            if divergent {
-                self.stats.divergent_instructions += 1;
             }
         }
     }
@@ -881,14 +815,7 @@ impl<'a> Engine<'a> {
                     reg,
                     source,
                 })?;
-            let value =
-                self.codec
-                    .try_decompress(&sample.register)
-                    .map_err(|e| SimError::Read {
-                        slot: c.slot,
-                        reg,
-                        source: gpu_regfile::ReadError::Corrupted(e),
-                    })?;
+            let value = decode(&self.codec, c.slot, reg, &sample.register)?;
             #[cfg(feature = "sanitize")]
             {
                 use gpu_regfile::FaultDisposition;
@@ -925,112 +852,39 @@ impl<'a> Engine<'a> {
         let warp = self.warps[c.slot]
             .as_ref()
             .expect("warp alive while in flight");
-        let warp_size = self.cfg.warp_size;
-
-        let eval = |op: Operand, lane: usize| -> u32 {
-            match op {
-                Operand::Reg(r) => c.operand(r.index()).lane(lane),
-                Operand::Imm(v) => v as u32,
-                Operand::Param(i) => self.launch.param(i as usize),
-                Operand::Special(s) => {
-                    let tid = warp.tid_of_lane(lane, warp_size);
-                    match s {
-                        Special::Tid => tid,
-                        Special::Bid => warp.block as u32,
-                        Special::BlockDim => self.launch.threads_per_block() as u32,
-                        Special::GridDim => self.launch.blocks() as u32,
-                        Special::GlobalTid => {
-                            warp.block as u32 * self.launch.threads_per_block() as u32 + tid
-                        }
-                        Special::LaneId => lane as u32,
-                        Special::WarpId => warp.warp_in_block as u32,
-                    }
-                }
-            }
+        let coords = self.launch.coords(warp.block, warp.warp_in_block);
+        let values = c.values.map(Option::unwrap_or_default);
+        let d = Dispatch {
+            instr: c.instr,
+            pc: c.pc,
+            mask: c.mask,
+            srcs: &c.srcs,
+            values: &values,
         };
-
-        match c.instr {
-            Instruction::Mov { dst, src } => {
-                let result = WarpRegister::from_fn(|lane| eval(src, lane));
-                let done_at = self.now + self.cfg.alu_latency + c.decomp_extra;
-                self.push_writeback(&c, dst.index(), result, done_at);
+        let effect = execute(self.kernel.name(), &d, &coords, self.memory)?;
+        let done_at = self.now + self.cfg.latency_of(c.instr.latency_class()) + c.decomp_extra;
+        let dst = c.instr.dst().map(|r| r.index());
+        match effect {
+            Effect::Value(result) => {
+                self.push_writeback(&c, dst.expect("writes a register"), result, done_at);
             }
-            Instruction::Alu { op, dst, a, b } => {
-                let result = WarpRegister::from_fn(|lane| op.apply(eval(a, lane), eval(b, lane)));
-                let latency = match op.latency_class() {
-                    LatencyClass::Sfu => self.cfg.sfu_latency,
-                    _ => self.cfg.alu_latency,
-                };
-                let done_at = self.now + latency + c.decomp_extra;
-                self.push_writeback(&c, dst.index(), result, done_at);
-            }
-            Instruction::Ld { dst, base, offset } => {
-                let (wblock, wwarp) = (warp.block, warp.warp_in_block);
-                let mut result = WarpRegister::ZERO;
-                let mut addrs = [0u32; 32];
-                let mut vals = [0u32; 32];
-                for (lane, slot) in addrs.iter_mut().enumerate().take(warp_size) {
-                    if c.mask & (1 << lane) != 0 {
-                        let addr = c
-                            .operand(base.index())
-                            .lane(lane)
-                            .wrapping_add(offset as u32);
-                        *slot = addr;
-                        let word = self.memory.load(addr).map_err(|fault| {
-                            mem_fault_at(self.kernel.name(), wblock, wwarp, c.pc, fault)
-                        })?;
-                        result.set_lane(lane, word);
-                        vals[lane] = word;
-                    }
+            Effect::Mem(access) => {
+                self.record_mem(&c, &coords, &access, dst.is_none());
+                if let Some(dst) = dst {
+                    let result = WarpRegister::from(access.values);
+                    self.push_writeback(&c, dst, result, done_at);
                 }
-                self.record_mem(&c, wblock, wwarp, addrs, vals, false);
-                let done_at = self.now + self.cfg.mem_latency + c.decomp_extra;
-                self.push_writeback(&c, dst.index(), result, done_at);
                 let warp = self.warps[c.slot].as_mut().expect("warp alive");
                 warp.pending_mem -= 1;
-            }
-            Instruction::St { base, offset, src } => {
-                let (wblock, wwarp) = (warp.block, warp.warp_in_block);
-                let mut addrs = [0u32; 32];
-                let mut vals = [0u32; 32];
-                for (lane, slot) in addrs.iter_mut().enumerate().take(warp_size) {
-                    if c.mask & (1 << lane) != 0 {
-                        let addr = c
-                            .operand(base.index())
-                            .lane(lane)
-                            .wrapping_add(offset as u32);
-                        *slot = addr;
-                        let word = c.operand(src.index()).lane(lane);
-                        self.memory.store(addr, word).map_err(|fault| {
-                            mem_fault_at(self.kernel.name(), wblock, wwarp, c.pc, fault)
-                        })?;
-                        vals[lane] = word;
-                    }
+                if dst.is_none() {
+                    warp.inflight -= 1;
                 }
-                self.record_mem(&c, wblock, wwarp, addrs, vals, true);
-                let warp = self.warps[c.slot].as_mut().expect("warp alive");
-                warp.inflight -= 1;
-                warp.pending_mem -= 1;
             }
-            Instruction::Bra {
-                pred,
-                target,
-                reconv,
-            } => {
-                let pv = c.operand(pred.index());
-                let mut taken = 0u32;
-                for lane in 0..warp_size {
-                    if c.mask & (1 << lane) != 0 && pv.lane(lane) != 0 {
-                        taken |= 1 << lane;
-                    }
-                }
+            Effect::Branch(taken, target, reconv) => {
                 let warp = self.warps[c.slot].as_mut().expect("warp alive");
                 warp.stack.branch(taken, target, reconv);
                 warp.blocked = false;
                 warp.inflight -= 1;
-            }
-            Instruction::Jmp { .. } | Instruction::Exit => {
-                unreachable!("control-only instructions issue without a collector")
             }
         }
         Ok(())
@@ -1039,23 +893,20 @@ impl<'a> Engine<'a> {
     /// Charges coalescer traffic for one dispatched access (distinct
     /// 32-word segments across the active lanes) and feeds the armed
     /// memory-trace observer, if any.
-    #[allow(clippy::too_many_arguments)]
     fn record_mem(
         &mut self,
         c: &Collector,
-        block: usize,
-        warp_in_block: usize,
-        addrs: [u32; 32],
-        values: [u32; 32],
+        coords: &WarpCoords,
+        access: &MemAccess,
         is_store: bool,
     ) {
         if c.mask == 0 {
             return;
         }
-        let mut segs = [0u32; 32];
+        let mut segs = [0u32; WARP_SIZE];
         let mut n = 0;
-        for lane in (0..self.cfg.warp_size).filter(|lane| c.mask >> lane & 1 == 1) {
-            segs[n] = addrs[lane] >> 5;
+        for lane in (0..WARP_SIZE).filter(|lane| c.mask >> lane & 1 == 1) {
+            segs[n] = access.addrs[lane] >> 5;
             n += 1;
         }
         let segs = &mut segs[..n];
@@ -1065,11 +916,11 @@ impl<'a> Engine<'a> {
         if let Some(observer) = self.mem_observer.as_mut() {
             observer(&MemEvent {
                 pc: c.pc,
-                block,
-                warp_in_block,
+                block: coords.block,
+                warp_in_block: coords.warp_in_block,
                 mask: c.mask,
-                addrs,
-                values,
+                addrs: access.addrs,
+                values: access.values,
                 is_store,
             });
         }
@@ -1136,10 +987,7 @@ impl<'a> Engine<'a> {
                 }
                 self.merge_result(i)?;
                 let e = &mut self.writebacks[i];
-                let skip_compressor = !comp.is_enabled()
-                    || e.synthetic
-                    || (e.divergent && comp.divergence == DivergencePolicy::UncompressedWrites);
-                e.state = if skip_compressor {
+                e.state = if e.synthetic || !comp.compresses_write(e.divergent) {
                     WbState::Ready {
                         compressed: CompressedRegister::Uncompressed(e.result),
                         not_before: now,
@@ -1209,11 +1057,6 @@ impl<'a> Engine<'a> {
 
     /// Folds the old register value into the inactive lanes of a partial
     /// write, charging energy according to the divergence policy.
-    ///
-    /// The merge read deliberately bypasses the fault injector: the
-    /// injection point is operand fetch, and a pending corruption of the
-    /// destination is about to be overwritten (the injector resolves it
-    /// as masked on the subsequent write).
     fn merge_result(&mut self, i: usize) -> Result<(), SimError> {
         let (slot, reg, mask, divergent) = {
             let e = &self.writebacks[i];
@@ -1223,32 +1066,16 @@ impl<'a> Engine<'a> {
             return Ok(());
         }
         let comp = &self.cfg.compression;
-        let use_counted_read = comp.is_enabled()
-            && comp.divergence == DivergencePolicy::DecompressMergeRecompress
-            && divergent;
-        let old = if use_counted_read {
-            // The rejected §5.2 alternative: the destination is read (and
-            // decompressed) before the merge, costing bank reads and a
-            // decompressor activation.
-            let read = self.regfile.read(WarpSlot(slot), reg, self.now);
-            if read.register.is_compressed() {
-                self.stats.decompressor_activations += 1;
-            }
-            let register = *read.register;
-            self.try_decompress(slot, reg, &register)?
-        } else {
-            // Per-lane write enables: merging costs nothing.
-            let stored = self
-                .regfile
-                .peek(WarpSlot(slot), reg)
-                .copied()
-                .ok_or(SimError::Read {
-                    slot,
-                    reg,
-                    source: gpu_regfile::ReadError::Unallocated,
-                })?;
-            self.try_decompress(slot, reg, &stored)?
-        };
+        let (old, decompressed) = merge_source(
+            &mut self.regfile,
+            &self.codec,
+            comp,
+            divergent,
+            slot,
+            reg,
+            self.now,
+        )?;
+        self.stats.decompressor_activations += u64::from(decompressed);
         #[cfg(feature = "sanitize")]
         self.shadow.check_read(WarpSlot(slot), reg, &old);
         let e = &mut self.writebacks[i];
@@ -1256,51 +1083,19 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Decode with the stored-form validation of [`BdiCodec::try_decompress`],
-    /// lifting failures into [`SimError::Read`].
-    fn try_decompress(
-        &self,
-        slot: usize,
-        reg: usize,
-        stored: &CompressedRegister,
-    ) -> Result<WarpRegister, SimError> {
-        self.codec
-            .try_decompress(stored)
-            .map_err(|e| SimError::Read {
-                slot,
-                reg,
-                source: gpu_regfile::ReadError::Corrupted(e),
-            })
-    }
-
     /// Accounts for the write of entry `i` (which must be `Ready`) and
     /// marks it retired.
     fn retire_write(&mut self, i: usize) {
         let e = &mut self.writebacks[i];
-        let WbState::Ready { compressed, .. } = &e.state else {
+        let WbState::Ready { compressed, .. } = mem::replace(&mut e.state, WbState::Retired) else {
             unreachable!("retire only from Ready");
         };
-        let class = compressed.class();
-        let stored = compressed.stored_len() as u64;
-        e.state = WbState::Retired;
-        self.stats.writes += 1;
-        if class.is_compressed() {
-            self.stats.writes_compressed += 1;
-        }
-        if !e.synthetic {
-            let logical = bdi::WARP_REGISTER_BYTES as u64;
-            if e.divergent {
-                self.stats.div_logical_bytes += logical;
-                self.stats.div_stored_bytes += stored;
-            } else {
-                self.stats.nondiv_logical_bytes += logical;
-                self.stats.nondiv_stored_bytes += stored;
-            }
-        }
+        self.stats
+            .count_write(&compressed, e.divergent, e.synthetic);
         (self.observer)(&WriteEvent {
             pc: e.pc,
             value: e.result,
-            class,
+            class: compressed.class(),
             divergent: e.divergent,
             synthetic: e.synthetic,
         });
@@ -1322,10 +1117,10 @@ impl<'a> Engine<'a> {
             let Some(w) = self.warps[slot].as_ref() else {
                 continue;
             };
-            if w.is_done() {
+            if w.stack.is_done() {
                 continue;
             }
-            let divergent = w.is_divergent();
+            let divergent = w.stack.is_divergent();
             let (compressed, total) = self.regfile.warp_census(WarpSlot(slot));
             if divergent {
                 self.stats.census.div_compressed += compressed as u64;
@@ -1347,7 +1142,7 @@ enum StepOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simt_isa::{AluOp, KernelBuilder, Reg};
+    use simt_isa::{AluOp, KernelBuilder, Reg, Special};
 
     fn run_kernel(
         cfg: GpuConfig,
@@ -1755,10 +1550,7 @@ mod tests {
             // A corrupted stored form may fail decode, and a silently
             // corrupted address register may fault in memory downstream.
             assert!(
-                matches!(
-                    e,
-                    SimError::Read { .. } | SimError::Memory(_) | SimError::MemoryAt { .. }
-                ),
+                matches!(e, SimError::Read { .. } | SimError::MemoryAt { .. }),
                 "unexpected: {e}"
             );
         }

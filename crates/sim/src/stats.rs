@@ -368,6 +368,42 @@ pub struct SimStats {
 }
 
 impl SimStats {
+    /// Counts one issued instruction: a program instruction, or an
+    /// injected MOV when `synthetic`.
+    pub(crate) fn count_issue(&mut self, divergent: bool, synthetic: bool) {
+        if synthetic {
+            self.synthetic_movs += 1;
+        } else {
+            self.instructions += 1;
+            self.divergent_instructions += u64::from(divergent);
+        }
+    }
+
+    /// Counts one retired register write stored as `stored`. Injected
+    /// MOVs count as writes but stay out of the Fig. 8 byte ratios.
+    pub(crate) fn count_write(
+        &mut self,
+        stored: &bdi::CompressedRegister,
+        divergent: bool,
+        synthetic: bool,
+    ) {
+        self.writes += 1;
+        self.writes_compressed += u64::from(stored.class().is_compressed());
+        if synthetic {
+            return;
+        }
+        let (logical, bytes) = if divergent {
+            (&mut self.div_logical_bytes, &mut self.div_stored_bytes)
+        } else {
+            (
+                &mut self.nondiv_logical_bytes,
+                &mut self.nondiv_stored_bytes,
+            )
+        };
+        *logical += bdi::WARP_REGISTER_BYTES as u64;
+        *bytes += stored.stored_len() as u64;
+    }
+
     /// Total instructions including injected MOVs.
     pub fn total_instructions(&self) -> u64 {
         self.instructions + self.synthetic_movs

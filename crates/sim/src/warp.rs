@@ -1,6 +1,6 @@
 //! Per-warp runtime state.
 
-use crate::simt_stack::SimtStack;
+use simt_isa::{full_mask, SimtStack};
 
 /// A resident warp's execution context: identity within its block plus
 /// the SIMT stack. Register values live in the register file, not here.
@@ -12,8 +12,6 @@ pub struct WarpState {
     pub block: usize,
     /// Warp index within the block.
     pub warp_in_block: usize,
-    /// Bits set for threads that exist (partial last warp has fewer).
-    pub full_mask: u32,
     /// SIMT reconvergence stack.
     pub stack: SimtStack,
     /// Waiting on an unresolved branch: cannot issue.
@@ -39,17 +37,11 @@ impl WarpState {
         launch_seq: u64,
     ) -> Self {
         assert!((1..=32).contains(&threads), "warp needs 1..=32 threads");
-        let full_mask = if threads == 32 {
-            u32::MAX
-        } else {
-            (1u32 << threads) - 1
-        };
         WarpState {
             slot,
             block,
             warp_in_block,
-            full_mask,
-            stack: SimtStack::new(full_mask, 0),
+            stack: SimtStack::new(full_mask(threads), 0),
             blocked: false,
             launch_seq,
             inflight: 0,
@@ -57,25 +49,9 @@ impl WarpState {
         }
     }
 
-    /// Whether the warp currently executes with a partial mask or below
-    /// top level — the paper's "divergent" execution phase.
-    pub fn is_divergent(&self) -> bool {
-        self.stack.is_diverged() || (self.stack.mask() != self.full_mask && !self.stack.is_done())
-    }
-
-    /// All threads exited.
-    pub fn is_done(&self) -> bool {
-        self.stack.is_done()
-    }
-
     /// Done and no in-flight instructions: slot may be recycled.
     pub fn is_drained(&self) -> bool {
-        self.is_done() && self.inflight == 0
-    }
-
-    /// The thread index (within the block) of `lane`.
-    pub fn tid_of_lane(&self, lane: usize, warp_size: usize) -> u32 {
-        (self.warp_in_block * warp_size + lane) as u32
+        self.stack.is_done() && self.inflight == 0
     }
 }
 
@@ -86,30 +62,24 @@ mod tests {
     #[test]
     fn full_warp_mask() {
         let w = WarpState::new(0, 0, 0, 32, 0);
-        assert_eq!(w.full_mask, u32::MAX);
-        assert!(!w.is_divergent());
-        assert!(!w.is_done());
+        assert_eq!(w.stack.full_mask(), u32::MAX);
+        assert!(!w.stack.is_divergent());
+        assert!(!w.stack.is_done());
     }
 
     #[test]
     fn partial_warp_mask() {
         let w = WarpState::new(0, 0, 1, 8, 0);
-        assert_eq!(w.full_mask, 0xFF);
+        assert_eq!(w.stack.full_mask(), 0xFF);
         // A partial warp running all its threads is not divergent.
-        assert!(!w.is_divergent());
+        assert!(!w.stack.is_divergent());
     }
 
     #[test]
     fn divergence_detection() {
         let mut w = WarpState::new(0, 0, 0, 4, 0);
         w.stack.branch(0x3, 5, 9);
-        assert!(w.is_divergent());
-    }
-
-    #[test]
-    fn tid_mapping() {
-        let w = WarpState::new(0, 2, 3, 32, 0);
-        assert_eq!(w.tid_of_lane(5, 32), 3 * 32 + 5);
+        assert!(w.stack.is_divergent());
     }
 
     #[test]
@@ -117,7 +87,7 @@ mod tests {
         let mut w = WarpState::new(0, 0, 0, 1, 0);
         w.inflight = 1;
         w.stack.exit_threads();
-        assert!(w.is_done());
+        assert!(w.stack.is_done());
         assert!(!w.is_drained());
         w.inflight = 0;
         assert!(w.is_drained());
